@@ -8,18 +8,42 @@ scope is bounded by the area size — "reduced by a magnitude of two" —
 while UID relabels right-sibling subtrees and renumbers the whole
 document on fan-out overflow, and pre/post-style schemes shift about
 half the document per update.
+
+E5_update_cost times what the counts promise: ms per ``ruid2`` edit
+at two XMark sizes (≈1.2k and ≈4.8k nodes, the same seeded workload),
+with every edit's relabel count checked against a twin document that
+re-enumerates in full after each edit. Runs under pytest and as a
+standalone CI gate::
+
+    python benchmarks/bench_update.py --quick
+
+The gate: the p50 per edit at 4x the nodes is at most 1.5x the p50 at
+1x (the cost is flat in n), and every per-edit relabel count equals
+the full re-enumeration's.
 """
+
+import argparse
+import statistics
+import time
 
 import pytest
 
 from conftest import emit, emits_table
 from repro.analysis import RELABEL_HEADERS, run_workload_per_scheme
 from repro.baselines import get_scheme
-from repro.core import UidLabeling, UidUpdater
+from repro.core import (
+    Ruid2Labeling,
+    SizeCapPartitioner,
+    UidLabeling,
+    UidUpdater,
+    diff_snapshots,
+)
 from repro.generator import (
     UpdateWorkloadConfig,
+    apply_workload,
     fig1_tree,
     generate_update_workload,
+    generate_xmark,
 )
 from repro.xmltree import element
 
@@ -33,6 +57,123 @@ _UPDATE_SCHEMES = [
     ("region", {"gap": 8}),
     ("posdepth", {}),
 ]
+
+
+#: XMark scales of the two documents (≈1.2k and ≈4.8k nodes)
+COST_SCALES = (0.2, 0.8)
+COST_SEED = 12
+#: workload length and timing repeats (full, quick)
+COST_EDITS = {False: 300, True: 120}
+COST_REPEATS = {False: 9, True: 7}
+#: the flat-in-n gate: p50 at 4x the nodes over p50 at 1x
+COST_GROWTH_LIMIT = 1.5
+AREA_CAP = 64  # the ruid2 registry default
+
+
+def _replay(tree, ops):
+    """One replay through ``Labeling.insert/delete``: ms per edit and
+    the per-edit relabel counts."""
+    labeling = get_scheme("ruid2", max_area_size=AREA_CAP).build(tree.copy())
+    times = []
+
+    def timed(method):
+        def call(*args):
+            started = time.perf_counter()
+            report = method(*args)
+            times.append((time.perf_counter() - started) * 1e3)
+            return report
+        return call
+
+    reports = list(apply_workload(
+        labeling.tree, ops, timed(labeling.insert), timed(labeling.delete)
+    ))
+    return times, [report.relabeled_count for report in reports]
+
+
+def _reference_counts(tree, ops):
+    """Per-edit relabel counts of the whole-document path: the same
+    partition and edits, re-enumerated in full after every edit."""
+    twin = tree.copy()
+    labeling = Ruid2Labeling(twin, partitioner=SizeCapPartitioner(AREA_CAP))
+
+    def full(mutate):
+        before = labeling.snapshot()
+        mutate()
+        labeling.reenumerate()
+        return len(diff_snapshots(before, labeling.snapshot()))
+
+    def insert(parent, position, node):
+        return full(lambda: twin.insert_node(parent, position, node))
+
+    def delete(node):
+        def cut():
+            removed = twin.delete_subtree(node)
+            labeling.area_root_ids -= {n.node_id for n in removed}
+        return full(cut)
+
+    return list(apply_workload(twin, ops, insert, delete))
+
+
+def run_update_cost(quick=False, sink=emit, experiment="E5_update_cost"):
+    """E5_update_cost: ms per ruid2 edit at two document sizes, with
+    exact relabel counts checked against full re-enumeration."""
+    edits = COST_EDITS[quick]
+    config = UpdateWorkloadConfig(operations=edits, insert_fraction=0.8)
+    docs = []
+    for scale in COST_SCALES:
+        tree = generate_xmark(scale=scale, seed=COST_SEED)
+        docs.append((tree, generate_update_workload(tree, config, seed=5)))
+    # Each edit's time is its fastest over the replays; the sizes take
+    # turns, so a slow spell of the host does not land on one size only.
+    best = [None] * len(docs)
+    counts = [None] * len(docs)
+    for _ in range(COST_REPEATS[quick]):
+        for index, (tree, ops) in enumerate(docs):
+            times, counts[index] = _replay(tree, ops)
+            if best[index] is not None:
+                times = [min(a, b) for a, b in zip(best[index], times)]
+            best[index] = times
+    rows = []
+    p50s = []
+    for (tree, ops), times, got in zip(docs, best, counts):
+        assert got == _reference_counts(tree, ops), (
+            f"{tree.size()} nodes: area-local relabel counts diverge from "
+            f"full re-enumeration"
+        )
+        p50 = statistics.median(times)
+        p50s.append(p50)
+        rows.append(
+            (
+                tree.size(),
+                edits,
+                round(p50, 3),
+                round(sorted(times)[int(0.95 * (len(times) - 1))], 3),
+                round(sum(got) / len(got), 2),
+                "yes",
+            )
+        )
+    growth = p50s[1] / p50s[0]
+    sink(
+        experiment,
+        ("nodes", "edits", "p50_ms", "p95_ms", "mean_relabeled", "counts_equal_full"),
+        rows,
+        f"E5: ms per ruid2 edit (a{AREA_CAP}, 80% inserts, fastest of "
+        f"{COST_REPEATS[quick]} replays); p50 growth at "
+        f"{rows[1][0] / rows[0][0]:.1f}x the nodes: {growth:.2f}x",
+    )
+    return growth
+
+
+def _cost_gate(growth):
+    assert growth <= COST_GROWTH_LIMIT, (
+        f"p50 per edit grew {growth:.2f}x at 4x the nodes "
+        f"(limit {COST_GROWTH_LIMIT}x): edits are not area-local"
+    )
+
+
+@emits_table
+def test_e5_update_cost():
+    _cost_gate(run_update_cost())
 
 
 @emits_table
@@ -223,3 +364,20 @@ def test_e5_depth_sweep(xmark_bench_tree):
         rows,
         "E5 ablation: insertion depth vs relabel scope (60 inserts)",
     )
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help="shorter workload; writes E5_update_cost_quick.txt (the CI gate)",
+    )
+    args = parser.parse_args()
+    suffix = "_quick" if args.quick else ""
+    _cost_gate(run_update_cost(args.quick, experiment=f"E5_update_cost{suffix}"))
+    print("\nok")
+
+
+if __name__ == "__main__":
+    main()

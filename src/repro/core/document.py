@@ -153,7 +153,7 @@ class LabeledDocument:
     @property
     def axes(self) -> AxisEngine:
         engine = self._axes
-        if engine is None or engine.labeling.ktable is not self.labeling.ktable:
+        if engine is None or engine.order.ktable is not self.labeling.ktable:
             engine = AxisEngine(self.labeling)
             self._axes = engine
         return engine

@@ -93,17 +93,10 @@ class Frame:
         self._build()
 
     def _build(self) -> None:
-        tree_ids = {node.node_id for node in self.tree.preorder()}
-        missing = self.area_root_ids - tree_ids
-        if missing:
-            raise PartitionError(f"area roots not in tree: {sorted(missing)}")
-
-        for rid in self.area_root_ids:
-            self.frame_children[rid] = []
-
         root = self.tree.root
         self._node_by_id[root.node_id] = root
         self.frame_parent[root.node_id] = None
+        self.frame_children[root.node_id] = []
         self.containing_area[root.node_id] = root.node_id
         self.areas[root.node_id] = Area(root=root, nodes=[root])
 
@@ -122,12 +115,64 @@ class Frame:
                 area.child_area_roots.append(node)
                 self.frame_parent[node.node_id] = enclosing
                 self.frame_children[enclosing].append(node)
+                self.frame_children[node.node_id] = []
                 self.areas[node.node_id] = Area(root=node, nodes=[node])
                 next_enclosing = node.node_id
             else:
                 next_enclosing = enclosing
             for child in reversed(node.children):
                 stack.append((child, next_enclosing))
+
+        # Every root the pass met opened an area; any other was never
+        # reached, so it is not in the tree.
+        if len(self.areas) != len(self.area_root_ids):
+            missing = self.area_root_ids - set(self.areas)
+            raise PartitionError(f"area roots not in tree: {sorted(missing)}")
+
+    # ------------------------------------------------------------------
+    # In-place patches for area-local updates (§3.2)
+    # ------------------------------------------------------------------
+    def refresh_area(self, root_id: int) -> None:
+        """Re-walk one area from the tree after an edit inside it.
+
+        Rebuilds the area's node list and child-area roots in document
+        order and registers any new nodes; the walk stops at child-area
+        roots, so it costs O(area), not O(n).
+        """
+        area = self.areas[root_id]
+        nodes = [area.root]
+        child_roots: List[XmlNode] = []
+        stack = list(reversed(area.root.children))
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            self.containing_area[node.node_id] = root_id
+            self._node_by_id[node.node_id] = node
+            if node.node_id in self.area_root_ids:
+                child_roots.append(node)
+            else:
+                stack.extend(reversed(node.children))
+        area.nodes = nodes
+        area.child_area_roots = child_roots
+        self.frame_children[root_id] = list(child_roots)
+
+    def remove_nodes(self, removed: List[XmlNode]) -> Set[int]:
+        """Forget a deleted subtree's nodes and the areas rooted among
+        them; returns those area-root ids. The area that held the
+        subtree's root still lists it until :meth:`refresh_area`."""
+        gone: Set[int] = set()
+        for node in removed:
+            node_id = node.node_id
+            del self.containing_area[node_id]
+            del self._node_by_id[node_id]
+            if node_id in self.area_root_ids:
+                gone.add(node_id)
+        for root_id in gone:
+            del self.areas[root_id]
+            del self.frame_parent[root_id]
+            del self.frame_children[root_id]
+        self.area_root_ids -= gone
+        return gone
 
     # ------------------------------------------------------------------
     # Frame-as-a-tree accessors

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import UnknownLabelError
 
@@ -62,6 +62,12 @@ class KTable:
         position = bisect_left(self._globals, global_index)
         if position < len(self._globals) and self._globals[position] == global_index:
             return self._rows[position]
+        raise UnknownLabelError(f"no area with global index {global_index}")
+
+    def _position(self, global_index: int) -> int:
+        position = bisect_left(self._globals, global_index)
+        if position < len(self._globals) and self._globals[position] == global_index:
+            return position
         raise UnknownLabelError(f"no area with global index {global_index}")
 
     def has_area(self, global_index: int) -> bool:
@@ -114,11 +120,30 @@ class KTable:
     def replace(self, row: KRow) -> None:
         """Replace the row with the same global index (fan-out updates
         after an area enlargement, §3.2)."""
-        position = bisect_left(self._globals, row.global_index)
-        if position >= len(self._globals) or self._globals[position] != row.global_index:
-            raise UnknownLabelError(f"no area with global index {row.global_index}")
-        self._rows[position] = row
+        self._rows[self._position(row.global_index)] = row
         self._pair_index_cache.clear()
+
+    def patched(
+        self, rows: Iterable[KRow] = (), removed: Iterable[int] = ()
+    ) -> "KTable":
+        """A copy with *rows* replacing the rows of the same global
+        index and the *removed* global indices dropped — the O(|K|)
+        copy-on-write step of an area-local update, so caches keyed on
+        table identity see a new table."""
+        table = KTable.__new__(KTable)
+        # list() copies run at C speed; a Python-level filter over every
+        # row would dominate an area-local edit on a document of
+        # hundreds of areas
+        table._rows = list(self._rows)
+        table._globals = list(self._globals)
+        table._pair_index_cache = {}
+        for global_index in removed:
+            position = table._position(global_index)
+            del table._rows[position]
+            del table._globals[position]
+        for row in rows:
+            table._rows[table._position(row.global_index)] = row
+        return table
 
     def memory_bytes(self) -> int:
         """Rough size of the table if stored as three machine words per

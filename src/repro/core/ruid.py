@@ -8,6 +8,11 @@ Construction follows the paper's four steps (Fig. 3):
 3. enumerate each area with its own kᵢ-ary UID → *local indices*;
 4. compose the triple identifiers of Definition 3 and record table K.
 
+:func:`enumerate_area` labels one area (steps 3-4 for that area). The
+full build runs it for every area; an insert or delete
+(:mod:`repro.core.update`) runs it for the one area the edit lands in
+and patches the maps in place.
+
 Once built, ``κ`` and ``K`` are the only state the identifier
 arithmetic touches: :meth:`Ruid2Labeling.rparent` is the paper's Fig. 6
 algorithm and never dereferences the tree.
@@ -16,10 +21,10 @@ algorithm and never dereferences the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core import uid as uid_math
-from repro.core.frame import Frame
+from repro.core.frame import Area, Frame
 from repro.core.ktable import KRow, KTable
 from repro.core.labels import Ruid2Label
 from repro.core.partition import Partitioner, SizeCapPartitioner
@@ -34,7 +39,7 @@ class _Enumeration:
 
     frame: Frame
     kappa: int
-    ktable: KTable
+    ktable: KTable = field(default_factory=KTable)
     label_by_node: Dict[int, Ruid2Label] = field(default_factory=dict)
     node_by_label: Dict[Ruid2Label, XmlNode] = field(default_factory=dict)
     global_by_root: Dict[int, int] = field(default_factory=dict)  # area-root node_id -> g
@@ -74,7 +79,7 @@ def enumerate_ruid2(
     frame = Frame(tree, area_root_ids)
     kappa = max(1, frame.max_fan_out(), min_kappa)
     sticky = min_local_fanouts or {}
-    result = _Enumeration(frame=frame, kappa=kappa, ktable=KTable())
+    result = _Enumeration(frame=frame, kappa=kappa)
 
     # -- global enumeration (Fig. 3, lines 1-3) ------------------------
     root = tree.root
@@ -89,11 +94,9 @@ def enumerate_ruid2(
         if len(children) > kappa:
             raise StickyGlobalConflict("frame fan-out exceeds committed kappa")
         taken: Dict[int, XmlNode] = {}
-        free: List[XmlNode] = []
         for child_root in children:
             wanted = pinned.get(child_root.node_id)
             if wanted is None:
-                free.append(child_root)
                 continue
             if uid_math.parent(wanted, kappa) != g:
                 raise StickyGlobalConflict(
@@ -117,60 +120,74 @@ def enumerate_ruid2(
             result.global_by_root[child_root.node_id] = child_g
             result.root_by_global[child_g] = child_root
 
-    # -- local enumerations (Fig. 3, lines 4-13) -----------------------
-    # local index of each node *within its containing area*; area roots
-    # are indexed here as leaves of the upper area (the tree root gets 1).
-    local_in_upper: Dict[int, int] = {root.node_id: 1}
-    for area_root in frame.frame_levelorder():
-        area = frame.areas[area_root.node_id]
-        k_local = max(1, area.local_fan_out(), sticky.get(area_root.node_id, 0))
-        result.local_fanout_used[area_root.node_id] = k_local
-        boundary = {n.node_id for n in area.child_area_roots}
-        locals_here: Dict[int, int] = {area_root.node_id: 1}
-        frontier: List[XmlNode] = [area_root]
-        while frontier:
-            next_frontier: List[XmlNode] = []
-            for node in frontier:
-                if node.node_id in boundary and node is not area_root:
-                    continue  # leaf of this area; children live below
-                node_local = locals_here[node.node_id]
-                for ordinal, child_node in enumerate(node.children):
-                    child_local = uid_math.child(node_local, k_local, ordinal)
-                    locals_here[child_node.node_id] = child_local
-                    next_frontier.append(child_node)
-            frontier = next_frontier
-        for node_id, local in locals_here.items():
-            if node_id == area_root.node_id:
-                continue  # its upper-area index is assigned by the upper pass
-            local_in_upper[node_id] = local
+    # -- local enumerations + identifier composition (Fig. 3, lines
+    # 4-14): the tree root is (1, 1, true); every other node is labeled
+    # by the one area that holds it as a non-root node.
+    root_label = Ruid2Label(1, 1, True)
+    result.label_by_node[root.node_id] = root_label
+    result.node_by_label[root_label] = root
+    for root_id, area in frame.areas.items():
+        k_local = max(1, area.local_fan_out(), sticky.get(root_id, 0))
+        result.local_fanout_used[root_id] = k_local
+        g = result.global_by_root[root_id]
+        for node, label in enumerate_area(area, k_local, g, result.global_by_root):
+            result.label_by_node[node.node_id] = label
+            result.node_by_label[label] = node
 
-    # -- identifier composition + table K (Fig. 3, lines 10, 14, e) ----
-    for area_root in frame.frame_levelorder():
-        g = result.global_by_root[area_root.node_id]
-        result.ktable.add(
-            KRow(
-                global_index=g,
-                local_index=local_in_upper[area_root.node_id],
-                fan_out=result.local_fanout_used[area_root.node_id],
-            )
-        )
-    for node in tree.preorder():
-        if frame.is_area_root(node):
-            label = Ruid2Label(
-                result.global_by_root[node.node_id],
-                local_in_upper[node.node_id],
-                True,
-            )
-        else:
-            containing_root_id = frame.containing_area[node.node_id]
-            label = Ruid2Label(
-                result.global_by_root[containing_root_id],
-                local_in_upper[node.node_id],
-                False,
-            )
-        result.label_by_node[node.node_id] = label
-        result.node_by_label[label] = node
+    # -- table K (Fig. 3, line 10): an area root's local index is the
+    # one its upper area gave it
+    result.ktable = KTable(
+        [
+            KRow(g, result.label_by_node[root_id].local_index,
+                 result.local_fanout_used[root_id])
+            for root_id, g in result.global_by_root.items()
+        ]
+    )
     return result
+
+
+def enumerate_area(
+    area: Area,
+    k_local: int,
+    global_index: int,
+    global_by_root: Dict[int, int],
+) -> List[Tuple[XmlNode, Ruid2Label]]:
+    """Label one UID-local area with its kᵢ-ary UID (Fig. 3, lines 4-13).
+
+    Returns ``(node, label)`` for every node of the area except its
+    root, whose label belongs to the upper area. Interior nodes get
+    ``(global_index, local, false)``; child-area roots, recognised by
+    having a global index, get ``(their global, local, true)`` and
+    stop the walk. The full build and the area-local update both label
+    areas here, so the two cannot disagree.
+    """
+    pairs: List[Tuple[XmlNode, Ruid2Label]] = []
+    frontier: List[Tuple[XmlNode, int]] = [(area.root, 1)]
+    while frontier:
+        next_frontier: List[Tuple[XmlNode, int]] = []
+        for node, local in frontier:
+            child_local = k_local * (local - 1) + 2  # uid.child(local, k, 0)
+            for child in node.children:
+                child_global = global_by_root.get(child.node_id)
+                if child_global is None:
+                    pairs.append((child, Ruid2Label(global_index, child_local, False)))
+                    if child.children:
+                        next_frontier.append((child, child_local))
+                else:
+                    pairs.append((child, Ruid2Label(child_global, child_local, True)))
+                child_local += 1
+        frontier = next_frontier
+    return pairs
+
+
+@dataclass
+class Relabel:
+    """What one update did to the labels of surviving nodes."""
+
+    changes: List[Tuple[int, Ruid2Label, Ruid2Label]]  # (node_id, old, new)
+    overflow: bool = False  # an area's committed local fan-out grew
+    kappa_changed: bool = False
+    frame_renumbered: bool = False  # the whole-document path ran
 
 
 class Ruid2Labeling:
@@ -200,11 +217,9 @@ class Ruid2Labeling:
         self.partitioner = partitioner or SizeCapPartitioner(64)
         self._min_kappa = min_kappa
         self.area_root_ids: Set[int] = self.partitioner.partition(tree)
-        self._sticky_local: Dict[int, int] = {}
         self._state = enumerate_ruid2(
             tree, self.area_root_ids, min_kappa=min_kappa
         )
-        self._sticky_local = dict(self._state.local_fanout_used)
         #: enumeration generation: bumped whenever the label assignment
         #: may have changed (reenumerate/rebuild). Generation-stamped
         #: caches (rank index, rparent memo, axis/plan caches) key off it.
@@ -221,6 +236,9 @@ class Ruid2Labeling:
         paper's §3.2 deletion semantics — surviving areas keep their
         global indices when possible. Returns True iff the pinning had
         to be abandoned (a whole-frame renumbering happened).
+
+        The previous state's maps are replaced, never mutated, so a
+        caller holding them can diff old against new.
         """
         pinned: Optional[Dict[int, int]] = None
         if keep_globals:
@@ -229,13 +247,16 @@ class Ruid2Labeling:
                 for rid, g in self._state.global_by_root.items()
                 if rid in self.area_root_ids
             }
+        # Committed fan-outs of areas that still exist; a deleted
+        # subtree's areas drop out with the frame.
+        sticky = self._state.local_fanout_used
         frame_renumbered = False
         try:
             self._state = enumerate_ruid2(
                 self.tree,
                 self.area_root_ids,
                 min_kappa=max(self._min_kappa, self.kappa),
-                min_local_fanouts=self._sticky_local,
+                min_local_fanouts=sticky,
                 fixed_globals=pinned,
             )
         except StickyGlobalConflict:
@@ -244,16 +265,8 @@ class Ruid2Labeling:
                 self.tree,
                 self.area_root_ids,
                 min_kappa=max(self._min_kappa, self.kappa),
-                min_local_fanouts=self._sticky_local,
+                min_local_fanouts=sticky,
             )
-        for root_id, used in self._state.local_fanout_used.items():
-            previous = self._sticky_local.get(root_id, 0)
-            self._sticky_local[root_id] = max(previous, used)
-        # Forget areas that no longer exist (deleted subtrees).
-        live = set(self._state.local_fanout_used)
-        self._sticky_local = {
-            rid: k for rid, k in self._sticky_local.items() if rid in live
-        }
         self._invalidate_memos()
         return frame_renumbered
 
@@ -262,22 +275,123 @@ class Ruid2Labeling:
         self._parent_memo.clear()
 
     def snapshot(self) -> Dict[int, Ruid2Label]:
-        """node_id → label copy, for update-scope diffing."""
+        """node_id → label copy."""
         return dict(self._state.label_by_node)
 
     def local_fan_out_of(self, area_root_id: int) -> int:
         """The committed (sticky) local fan-out of an area."""
-        return self._sticky_local[area_root_id]
+        return self._state.local_fanout_used[area_root_id]
 
     def rebuild(self) -> None:
         """Re-partition from scratch and re-enumerate (a full reorg)."""
         self.area_root_ids = self.partitioner.partition(self.tree)
-        self._sticky_local = {}
         self._state = enumerate_ruid2(
             self.tree, self.area_root_ids, min_kappa=self._min_kappa
         )
-        self._sticky_local = dict(self._state.local_fanout_used)
         self._invalidate_memos()
+
+    # ------------------------------------------------------------------
+    # Area-local updates (§3.2): O(area) instead of O(n)
+    # ------------------------------------------------------------------
+    def relabel_after_insert(self, parent: XmlNode) -> Relabel:
+        """Label nodes just inserted under *parent* (the frame is
+        unchanged): they join the area *parent*'s children live in,
+        and only that area is re-enumerated."""
+        frame = self._state.frame
+        if frame.is_area_root(parent):
+            root_id = parent.node_id
+        else:
+            root_id = frame.containing_area[parent.node_id]
+        frame.refresh_area(root_id)
+        return self._relabel_area(root_id, ())
+
+    def relabel_after_delete(self, node: XmlNode, removed: List[XmlNode]) -> Relabel:
+        """Forget the subtree *removed* (rooted at *node*, already
+        detached) and re-enumerate the one area that held *node*.
+        Areas rooted inside the subtree leave the frame; surviving
+        areas keep their global indices, so the frame is stable."""
+        state = self._state
+        frame = state.frame
+        root_id = frame.containing_area[node.node_id]
+        label_by_node = state.label_by_node
+        node_by_label = state.node_by_label
+        for gone in removed:
+            del node_by_label[label_by_node.pop(gone.node_id)]
+        removed_globals = []
+        for gone_root in frame.remove_nodes(removed):
+            g = state.global_by_root.pop(gone_root)
+            del state.root_by_global[g]
+            del state.local_fanout_used[gone_root]
+            removed_globals.append(g)
+            self.area_root_ids.discard(gone_root)
+        frame.refresh_area(root_id)
+        return self._relabel_area(root_id, removed_globals)
+
+    def _relabel_area(self, root_id: int, removed_globals: Iterable[int]) -> Relabel:
+        """Re-enumerate one area with its sticky local fan-out and patch
+        the label maps in place. K is replaced, not mutated: order
+        oracles and axis engines key their caches on its identity."""
+        state = self._state
+        area = state.frame.areas[root_id]
+        committed = state.local_fanout_used[root_id]
+        k_local = max(1, area.local_fan_out(), committed)
+        g = state.global_by_root[root_id]
+        label_by_node = state.label_by_node
+        node_by_label = state.node_by_label
+        changes: List[Tuple[int, Ruid2Label, Ruid2Label]] = []
+        fresh: List[Tuple[XmlNode, Ruid2Label]] = []
+        rows: List[KRow] = []
+        for node, label in enumerate_area(area, k_local, g, state.global_by_root):
+            node_id = node.node_id
+            old = label_by_node.get(node_id)
+            if old == label:
+                continue
+            if old is not None:
+                changes.append((node_id, old, label))
+                del node_by_label[old]
+            label_by_node[node_id] = label
+            fresh.append((node, label))
+            if label.is_area_root:  # a child area's root moved: its K row too
+                rows.append(
+                    KRow(label.global_index, label.local_index,
+                         state.local_fanout_used[node_id])
+                )
+        # Insert after all removals: a new label may be another node's
+        # old one (right siblings shift left on delete).
+        for node, label in fresh:
+            node_by_label[label] = node
+        if k_local != committed:
+            state.local_fanout_used[root_id] = k_local
+            rows.append(KRow(g, label_by_node[root_id].local_index, k_local))
+        state.ktable = state.ktable.patched(rows, removed_globals)
+        self._invalidate_memos()
+        return Relabel(changes, overflow=k_local > committed)
+
+    def relabel_frame(self) -> Relabel:
+        """The whole-document path, for edits that change the frame
+        (an area split): re-enumerate everything over the current
+        partition and diff against the previous state."""
+        before = self._state
+        self.reenumerate()
+        after = self._state
+        new_labels = after.label_by_node
+        changes = []
+        for node_id, old in before.label_by_node.items():
+            new = new_labels.get(node_id)
+            if new is not None and new != old:
+                changes.append((node_id, old, new))
+        grown = after.local_fanout_used
+        overflow = any(
+            grown[root_id] > k
+            for root_id, k in before.local_fanout_used.items()
+            if root_id in grown
+        )
+        return Relabel(
+            changes,
+            overflow=overflow,
+            kappa_changed=after.kappa != before.kappa,
+            frame_renumbered=True,
+        )
 
     # ------------------------------------------------------------------
     # Global parameters (the in-memory state, §2.1)

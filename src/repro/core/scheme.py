@@ -274,7 +274,7 @@ class Ruid2SchemeLabeling(Labeling[Ruid2Label]):
     def axes(self) -> AxisEngine:
         """Axis routines bound to the current labeling state."""
         engine = self._axes
-        if engine is None or engine.labeling.ktable is not self.core.ktable:
+        if engine is None or engine.order.ktable is not self.core.ktable:
             engine = AxisEngine(self.core)
             self._axes = engine
         return engine

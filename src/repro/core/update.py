@@ -13,13 +13,20 @@ Semantics implemented:
   the committed ``k``, the whole document is renumbered with a larger
   ``k`` (the paper's Fig. 1 discussion). Deletion is cascading and the
   remaining right siblings shift left.
-* **2-level rUID** — the partition is kept fixed; only the UID-local
-  area receiving the update is re-enumerated. An overflow of the
-  area's local fan-out renumbers that area alone (and updates its row
-  of K); global indices never change on insertion because the frame is
-  untouched. Deleting a subtree that contains area roots removes those
-  frame nodes, shifting the global indices of following sibling areas
-  (the frame is itself UID-enumerated).
+* **2-level rUID** — the partition is kept fixed. An insert adds its
+  nodes to the UID-local area they land in; a delete removes the
+  subtree from the area that held its root, and the areas rooted
+  inside the subtree leave the frame. Either way only that one area is
+  re-enumerated, with its committed local fan-out, by the same
+  per-area routine the full build uses. The frame and the label maps
+  are patched in place, and K is copied with the area's row and its
+  child areas' rows rewritten (an overflow of the local fan-out
+  renumbers that area alone). Surviving areas keep their global
+  indices, so κ and the rest of K are untouched and an edit costs
+  O(area), not O(n). The whole-document re-enumeration runs only when
+  an edit changes the frame — an area split by
+  :meth:`Ruid2Updater.maybe_split_area` — and the report says so
+  (``frame_renumbered``).
 
 Committed fan-outs are sticky in both schemes: they grow on overflow
 and never shrink, because shrinking would gratuitously renumber nodes.
@@ -28,9 +35,9 @@ and never shrink, because shrinking would gratuitously renumber nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generic, List, Optional, Set, TypeVar
+from typing import Dict, Generic, List, Optional, TypeVar
 
-from repro.core.ruid import Ruid2Labeling
+from repro.core.ruid import Relabel, Ruid2Labeling
 from repro.core.uid import UidLabeling
 from repro.xmltree.node import XmlNode
 from repro.xmltree.tree import XmlTree
@@ -60,7 +67,7 @@ class RelabelReport(Generic[LabelT]):
     surviving_nodes: int = 0
     areas_touched: int = 0  # rUID only; 0 where not applicable
     kappa_changed: bool = False
-    frame_renumbered: bool = False  # rUID only: global indices reshuffled
+    frame_renumbered: bool = False  # rUID only: the frame changed; whole-document path ran
 
     @property
     def relabeled_count(self) -> int:
@@ -146,8 +153,10 @@ class Ruid2Updater:
 
     The partition is preserved across updates; new nodes simply join
     the area of their insertion point, and deleted area roots leave the
-    frame. (A separate maintenance policy may re-partition when areas
-    grow too large — see :meth:`maybe_split_area`.)
+    frame. Both cost O(size of that area). (A separate maintenance
+    policy may re-partition when areas grow too large — see
+    :meth:`maybe_split_area`; such a split changes the frame and takes
+    the whole-document path.)
     """
 
     def __init__(self, labeling: Ruid2Labeling, split_threshold: Optional[int] = None):
@@ -160,52 +169,28 @@ class Ruid2Updater:
     def insert(
         self, parent: XmlNode, position: int, node: XmlNode
     ) -> RelabelReport:
-        before = self.labeling.snapshot()
-        sticky_before = {
-            rid: self.labeling.local_fan_out_of(rid)
-            for rid in self.labeling.area_root_ids
-        }
-        kappa_before = self.labeling.kappa
+        surviving = len(self.labeling)
         self.tree.insert_node(parent, position, node)
-        self.maybe_split_area(parent)
-        frame_renumbered = self.labeling.reenumerate()
-        after = self.labeling.snapshot()
-        changed = diff_snapshots(before, after)
-        overflow = any(
-            self.labeling.local_fan_out_of(rid) > k
-            for rid, k in sticky_before.items()
-        )
-        new_ids = {n.node_id for n in node.iter_subtree()}
-        return RelabelReport(
-            scheme=self.labeling.scheme_name,
-            operation="insert",
-            changed=changed,
-            inserted_count=len(new_ids),
-            overflow=overflow,
-            surviving_nodes=len(before),
-            areas_touched=_count_areas(changed, before, after),
-            kappa_changed=self.labeling.kappa != kappa_before,
-            frame_renumbered=frame_renumbered,
+        if self.maybe_split_area(parent):
+            relabel = self.labeling.relabel_frame()
+        else:
+            relabel = self.labeling.relabel_after_insert(parent)
+        return _ruid2_report(
+            relabel,
+            "insert",
+            inserted_count=len(self.labeling) - surviving,
+            surviving_nodes=surviving,
         )
 
     def delete(self, node: XmlNode) -> RelabelReport:
-        before = self.labeling.snapshot()
-        kappa_before = self.labeling.kappa
+        surviving = len(self.labeling)
         removed = self.tree.delete_subtree(node)
-        removed_ids = {n.node_id for n in removed}
-        self.labeling.area_root_ids -= removed_ids
-        frame_renumbered = self.labeling.reenumerate()
-        after = self.labeling.snapshot()
-        changed = diff_snapshots(before, after)
-        return RelabelReport(
-            scheme=self.labeling.scheme_name,
-            operation="delete",
-            changed=changed,
+        relabel = self.labeling.relabel_after_delete(node, removed)
+        return _ruid2_report(
+            relabel,
+            "delete",
             deleted_count=len(removed),
-            surviving_nodes=len(before) - len(removed),
-            areas_touched=_count_areas(changed, before, after),
-            kappa_changed=self.labeling.kappa != kappa_before,
-            frame_renumbered=frame_renumbered,
+            surviving_nodes=surviving - len(removed),
         )
 
     def maybe_split_area(self, insertion_parent: XmlNode) -> bool:
@@ -238,14 +223,16 @@ class Ruid2Updater:
         return True
 
 
-def _count_areas(changed, before, after) -> int:
-    """Distinct (new) global indices among the changed labels; 0 when
-    labels are not rUID triples."""
-    areas: Set[int] = set()
-    for change in changed:
-        new = change.new_label
-        if hasattr(new, "global_index"):
-            areas.add(new.global_index)
-        else:
-            return 0
-    return len(areas)
+def _ruid2_report(relabel: Relabel, operation: str, **counts) -> RelabelReport:
+    changed = [RelabelChange(*change) for change in relabel.changes]
+    return RelabelReport(
+        scheme=Ruid2Labeling.scheme_name,
+        operation=operation,
+        changed=changed,
+        overflow=relabel.overflow,
+        # distinct (new) global indices among the changed labels
+        areas_touched=len({change.new_label.global_index for change in changed}),
+        kappa_changed=relabel.kappa_changed,
+        frame_renumbered=relabel.frame_renumbered,
+        **counts,
+    )

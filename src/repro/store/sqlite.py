@@ -603,6 +603,11 @@ class SqliteNodeStore(NodeStore):
 
         accel = self._accel
         connection = self.connection
+        # One transaction for the whole shred, so a failure part-way
+        # leaves no table behind: the sqlite3 module opens implicit
+        # transactions only for DML, and each CREATE TABLE outside one
+        # would commit on its own.
+        connection.execute("SAVEPOINT shred")
         try:
             connection.execute(
                 f"CREATE TABLE {accel} ("
@@ -648,9 +653,14 @@ class SqliteNodeStore(NodeStore):
                 f"CREATE INDEX {_quoted(self.name + '__attrs_pre')} "
                 f"ON {self._attrs_table}(pre)"
             )
-            connection.commit()
-        except sqlite3.Error as exc:
-            raise StorageError(f"sqlite shred failed: {exc}") from exc
+            connection.execute("RELEASE shred")
+        except BaseException as exc:
+            connection.execute("ROLLBACK TO shred")
+            connection.execute("RELEASE shred")
+            if isinstance(exc, sqlite3.Error):
+                raise StorageError(f"sqlite shred failed: {exc}") from exc
+            raise
+        connection.commit()
 
     def _fetch_meta(self) -> Tuple[int, str, int]:
         meta = self._execute_one(

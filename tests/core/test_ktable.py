@@ -66,6 +66,20 @@ class TestLookups:
         with pytest.raises(UnknownLabelError):
             fig5_table.replace(KRow(50, 1, 1))
 
+    def test_patched_copies_and_leaves_the_original(self, fig5_table):
+        before = [row.as_tuple() for row in fig5_table]
+        pairs = fig5_table.build_pair_index(4)
+        copy = fig5_table.patched([KRow(3, 6, 5)], removed=[10, 13])
+        assert copy is not fig5_table
+        assert [row.as_tuple() for row in copy] == [
+            (1, 1, 4), (2, 2, 2), (3, 6, 5), (4, 4, 2)
+        ]
+        assert not copy.has_area(10)
+        assert copy.build_pair_index(4) is not pairs
+        assert [row.as_tuple() for row in fig5_table] == before
+        with pytest.raises(UnknownLabelError):
+            fig5_table.patched([KRow(50, 1, 1)])
+
 
 class TestPairIndex:
     def test_pair_index_derives_frame_parent(self, fig5_table):

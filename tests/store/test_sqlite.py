@@ -12,7 +12,6 @@ the rank label dialect.
 
 from __future__ import annotations
 
-import os
 import sqlite3
 
 import pytest
@@ -111,6 +110,27 @@ class TestAccelSchema:
             SqliteNodeStore.shred('x"; DROP TABLE y; --', labeling)
 
 
+class _FailingAttrsConnection(sqlite3.Connection):
+    """Fails the attribute-table insert, after all three tables exist."""
+
+    fail = True
+
+    def executemany(self, sql, rows):
+        if self.fail and "__attrs" in sql:
+            raise sqlite3.OperationalError("disk I/O error (injected)")
+        return super().executemany(sql, rows)
+
+
+def _doc_tables(connection):
+    return [
+        row[0]
+        for row in connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table' "
+            "AND name LIKE 'doc%' ORDER BY name"
+        )
+    ]
+
+
 class TestBuildOrAttach:
     def test_shred_then_attach_same_connection(self):
         store, _, labeling = _shred()
@@ -120,6 +140,29 @@ class TestBuildOrAttach:
         assert again.size() == store.size()
         assert again.scheme_name == "ruid2"
         assert again.generation == labeling.generation
+
+    def test_failed_shred_leaves_no_tables_and_retry_succeeds(self, tmp_path):
+        """The shred is one transaction: a failure part-way rolls back
+        every table it created, and a retry on the same file shreds
+        cleanly."""
+        path = str(tmp_path / "torn.db")
+        connection = sqlite3.connect(path, factory=_FailingAttrsConnection)
+        labeling = Ruid2Scheme().build(parse(DOC))
+        with pytest.raises(StorageError, match="shred failed"):
+            SqliteNodeStore.shred("doc", labeling, connection=connection)
+        assert _doc_tables(connection) == []
+        assert _doc_tables(sqlite3.connect(path)) == []  # nothing committed
+
+        connection.fail = False
+        store = SqliteNodeStore.shred("doc", labeling, connection=connection)
+        assert store.built
+        assert len(store.labels_with_tag("person")) == 2
+        assert store.attributes_of(store.labels_with_tag("person")[0]) == (("id", "p1"),)
+        assert _doc_tables(sqlite3.connect(path)) == [
+            "doc__accel",
+            "doc__attrs",
+            "doc__tags",
+        ]
 
     def test_attach_without_table_raises(self, tmp_path):
         with pytest.raises(StorageError, match="no accel table"):
