@@ -1,15 +1,23 @@
 """E21 — the O(delta) write path (docs/CONCURRENCY.md).
 
 Extends E16's readers-vs-writer story to the write path itself, in
-three tables:
+four tables:
 
 * **E21_writepath** — snapshot publish cost after a single-subtree
-  edit, O(n) full rebuild vs O(delta) chained
+  edit, O(n) full rebuild (``StructuralView.from_labeling`` of the
+  same generation) vs O(delta) chained
   :class:`~repro.concurrent.delta.DeltaView`, across document sizes.
   The tentpole claim: on the largest corpus the delta publish is
   >= 5x faster than the full rebuild it replaces (in practice it is
   orders of magnitude — the delta cost tracks the edit, not the
   document).
+* **E21_fold** — the compaction fold at the default chain limit:
+  folding a full delta chain into a full view by patching the base
+  view's columns from the chain's edits
+  (``StructuralView.from_edits``) vs rebuilding the same generation
+  from the labeling. Every fold is checked column for column against
+  the rebuild; the gate: the fold is >= 3x faster on the largest
+  corpus.
 * **E21_groupcommit** — concurrent disjoint-area writers under a WAL
   at group-commit batch sizes 1/2/4/8: logical commits vs physical
   syncs vs batch records. The gate: ``syncs < commits`` from batch
@@ -27,10 +35,11 @@ Runs under pytest and as a standalone CI smoke::
     python benchmarks/bench_writepath.py --quick
 
 ``--quick`` runs small documents, writes ``E21_*_quick.txt`` tables
-(the CI artifact), and asserts both gates.
+(the CI artifact), and asserts every gate.
 """
 
 import argparse
+import statistics
 import threading
 import time
 
@@ -38,6 +47,7 @@ import pytest
 
 from conftest import emit, emits_table
 from repro.concurrent import ConcurrentDocument, StructuralView
+from repro.concurrent.document import DELTA_CHAIN_LIMIT
 from repro.generator import generate_xmark
 from repro.storage.wal import Wal
 from repro.xmltree.node import NodeKind, XmlNode
@@ -47,6 +57,16 @@ SCALES = (0.1, 0.3, 0.8)
 QUICK_SCALES = (0.05, 0.15)
 BATCH_SIZES = (1, 2, 4, 8)
 EDITS_PER_DOC = 24
+#: compaction folds timed per document in the E21_fold sweep
+FOLDS_PER_DOC = 4
+QUICK_FOLDS_PER_DOC = 3
+#: every column of a full view (a fold must reproduce each exactly)
+VIEW_COLUMNS = (
+    "node_by_id", "rank", "end", "parent", "children", "position",
+    "attr_children", "attrs", "ids_by_rank", "tag_ids", "element_ids",
+    "text_ids", "comment_ids", "structural_ids", "structural_ranks",
+    "parent_ranks", "string_values", "root",
+)
 WRITER_THREADS = 4
 EDITS_PER_WRITER = 8
 
@@ -69,47 +89,41 @@ def _edit_targets(tree, count):
     return [tops[i % len(tops)] for i in range(count)]
 
 
-def _run_edits(doc, edits):
-    for parent in _edit_targets(doc.tree, edits):
-        doc.insert(parent, 0, XmlNode("item", NodeKind.ELEMENT))
-
-
 # ----------------------------------------------------------------------
 # E21_writepath: full-rebuild vs delta publish cost
 # ----------------------------------------------------------------------
+def _time_rebuild(labeling):
+    """(ns, view) of an O(n) full rebuild of the current generation."""
+    started = time.perf_counter_ns()
+    view = StructuralView.from_labeling(labeling)
+    return time.perf_counter_ns() - started, view
+
+
 def run_publish_sweep(scales, sink=emit, experiment="E21_writepath",
                       edits=EDITS_PER_DOC):
     rows = []
     speedups = {}
     for scale in scales:
-        tree_full = generate_xmark(scale=scale, seed=2101)
-        tree_delta = generate_xmark(scale=scale, seed=2101)
-        nodes = sum(1 for _ in tree_full.preorder())
-
-        # chain_limit=0: every publish is the old O(n) rebuild
-        doc_full = ConcurrentDocument(tree_full, scheme="ruid2",
-                                      delta_chain_limit=0)
-        with doc_full.pin():
+        tree = generate_xmark(scale=scale, seed=2101)
+        nodes = sum(1 for _ in tree.preorder())
+        doc = ConcurrentDocument(tree, scheme="ruid2",
+                                 delta_chain_limit=edits + 1)
+        with doc.pin():
             pass
-        _run_edits(doc_full, edits)
-        full_hist, _unused = doc_full.build_histograms()
-        # drop nothing: the first-pin build is the same O(n) work the
-        # publish path repeats, so the mean is representative
-        full_ns = full_hist.mean
-
-        doc_delta = ConcurrentDocument(tree_delta, scheme="ruid2",
-                                       delta_chain_limit=edits + 1)
-        with doc_delta.pin():
-            pass
-        _run_edits(doc_delta, edits)
-        _unused2, delta_hist = doc_delta.build_histograms()
+        rebuild_ns = []
+        for parent in _edit_targets(doc.tree, edits):
+            doc.insert(parent, 0, XmlNode("item", NodeKind.ELEMENT))
+            # the baseline: rebuild the same generation from the labeling
+            rebuild_ns.append(_time_rebuild(doc.labeling)[0])
+        full_ns = statistics.mean(rebuild_ns)
+        _unused, delta_hist = doc.build_histograms()
         delta_ns = delta_hist.mean
         assert delta_hist.count == edits, "an edit fell off the delta path"
-        _assert_chain_agrees(doc_delta)
+        _assert_chain_agrees(doc)
 
         speedup = full_ns / delta_ns if delta_ns else float("inf")
         speedups[scale] = speedup
-        stats = doc_delta.stats_snapshot()
+        stats = doc.stats_snapshot()
         rows.append(
             (
                 scale,
@@ -133,6 +147,65 @@ def run_publish_sweep(scales, sink=emit, experiment="E21_writepath",
     return rows, speedups
 
 
+# ----------------------------------------------------------------------
+# E21_fold: compaction fold from the chain's edits vs full rebuild
+# ----------------------------------------------------------------------
+def run_fold_sweep(scales, sink=emit, experiment="E21_fold",
+                   folds=FOLDS_PER_DOC, chain_limit=DELTA_CHAIN_LIMIT):
+    rows = []
+    speedups = {}
+    for scale in scales:
+        tree = generate_xmark(scale=scale, seed=2101)
+        nodes = sum(1 for _ in tree.preorder())
+        doc = ConcurrentDocument(tree, scheme="ruid2",
+                                 delta_chain_limit=chain_limit)
+        with doc.pin():
+            pass
+        full_hist, _unused = doc.build_histograms()
+        fold_ns, rebuild_ns = [], []
+        for parent in _edit_targets(doc.tree, folds * (chain_limit + 1)):
+            before = full_hist.total
+            doc.insert(parent, 0, XmlNode("item", NodeKind.ELEMENT))
+            if doc.stats_snapshot()["delta_chain_depth"]:
+                continue  # chained, not folded
+            fold_ns.append(full_hist.total - before)
+            elapsed, reference = _time_rebuild(doc.labeling)
+            rebuild_ns.append(elapsed)
+            with doc.pin() as snap:
+                folded = snap.view
+                assert isinstance(folded, StructuralView)
+                for column in VIEW_COLUMNS:
+                    assert getattr(folded, column) == getattr(reference, column), (
+                        f"fold diverged from the rebuild on {column}"
+                    )
+        assert len(fold_ns) == folds, "a compaction did not fold the chain"
+        fold_median = statistics.median(fold_ns)
+        rebuild_median = statistics.median(rebuild_ns)
+        speedup = rebuild_median / fold_median
+        speedups[scale] = speedup
+        rows.append(
+            (
+                scale,
+                nodes,
+                chain_limit,
+                folds,
+                round(rebuild_median / 1e6, 2),
+                round(fold_median / 1e6, 2),
+                round(speedup, 1),
+                "yes",
+            )
+        )
+    sink(
+        experiment,
+        ("scale", "nodes", "chain_limit", "folds", "rebuild_ms", "fold_ms",
+         "speedup", "identical"),
+        rows,
+        "E21: compaction fold of a full delta chain, patched from the "
+        "chain's edits vs rebuilt from the labeling (medians)",
+    )
+    return rows, speedups
+
+
 @emits_table
 def test_e21_publish_sweep():
     _rows, speedups = run_publish_sweep(SCALES[:2])
@@ -140,6 +213,16 @@ def test_e21_publish_sweep():
     assert speedups[largest] >= 5.0, (
         f"delta publish only {speedups[largest]:.1f}x faster on the "
         f"largest corpus (need >= 5x)"
+    )
+
+
+@emits_table
+def test_e21_fold_sweep():
+    _rows, speedups = run_fold_sweep(SCALES[:2])
+    largest = SCALES[1]
+    assert speedups[largest] >= 3.0, (
+        f"compaction fold only {speedups[largest]:.1f}x faster than the "
+        f"rebuild on the largest corpus (need >= 3x)"
     )
 
 
@@ -287,6 +370,10 @@ def main():
         scales, experiment=f"E21_writepath{suffix}",
         edits=12 if args.quick else EDITS_PER_DOC,
     )
+    _rows_fold, fold_speedups = run_fold_sweep(
+        scales, experiment=f"E21_fold{suffix}",
+        folds=QUICK_FOLDS_PER_DOC if args.quick else FOLDS_PER_DOC,
+    )
     _rows2, sync_ratio = run_group_commit_sweep(
         scale=scale, experiment=f"E21_groupcommit{suffix}"
     )
@@ -296,6 +383,10 @@ def main():
     assert speedups[largest] >= 5.0, (
         f"delta publish only {speedups[largest]:.1f}x faster on the "
         f"largest corpus (need >= 5x)"
+    )
+    assert fold_speedups[largest] >= 3.0, (
+        f"compaction fold only {fold_speedups[largest]:.1f}x faster than "
+        f"the rebuild on the largest corpus (need >= 3x)"
     )
     assert sync_ratio[1] == 1.0
     for batch in (4, 8):

@@ -34,14 +34,18 @@ Deltas chain: a :class:`DeltaView` may itself be the base of the next
 generation's delta. Every probe through ``n`` chained layers costs
 O(n) dict probes before the terminal :class:`StructuralView` answers,
 which is why :class:`~repro.concurrent.document.ConcurrentDocument`
-folds a chain into a full rebuild past ``delta_chain_limit``.
+folds a chain into a full view at ``delta_chain_limit``. The fold
+(:meth:`StructuralView.from_edits`) replays the chain's
+:class:`TreeEdit` records, oldest first, onto the terminal view's
+columns, so a ``TreeEdit`` is both a delta layer's override tables and
+a fold's patch.
 
 Capture runs inside the writer's critical section via
 :func:`capture_insert` (after the DOM splice) and
 :func:`capture_delete` (around it: ranks before, child lists after).
 Any structural surprise raises :class:`DeltaCaptureError` and the
-caller falls back to the O(n) rebuild — a delta is an optimisation,
-never a correctness requirement.
+caller falls back to the O(n) rebuild from the labeling — a delta is
+an optimisation, never a correctness requirement.
 """
 
 from __future__ import annotations

@@ -12,7 +12,12 @@ subsystem's locking discipline:
   :class:`~repro.concurrent.delta.DeltaView` layered over the previous
   generation's frozen view — O(delta), not O(n). Deltas chain up to
   ``delta_chain_limit`` layers, then the next publish folds the chain
-  into a full :class:`StructuralView` rebuild (compaction). Superseded
+  and its own edit into a full :class:`StructuralView` (compaction) by
+  patching the terminal full view's columns from the chain's
+  ``TreeEdit``s (:meth:`StructuralView.from_edits`) — no relabeling,
+  no parent arithmetic. Only the first view, a capture fallback and
+  the pin after :meth:`ConcurrentDocument.reenumerate` rebuild from the
+  labeling (:meth:`StructuralView.from_labeling`). Superseded
   views retire through the :class:`~repro.concurrent.epoch.EpochReclaimer`,
   which frees each one when its last pin drops — and dropping a
   generation also evicts its cached evaluator and candidate caches;
@@ -48,6 +53,7 @@ from repro.concurrent.arealocks import AreaLockManager
 from repro.concurrent.delta import (
     DeltaCaptureError,
     DeltaView,
+    TreeEdit,
     capture_delete,
     capture_insert,
     finish_delete,
@@ -71,8 +77,8 @@ from repro.xmltree.tree import XmlTree
 PLAN_CACHE_SIZE = 128
 
 #: delta layers a generation may stack before a publish folds the
-#: chain into a full rebuild (every probe walks the chain, so depth
-#: is a read-latency tax; compaction amortises it)
+#: chain into a full view (every probe walks the chain, so depth is a
+#: read-latency tax; compaction amortises it)
 DELTA_CHAIN_LIMIT = 8
 
 AnyView = Union[StructuralView, DeltaView]
@@ -219,14 +225,19 @@ class ConcurrentDocument:
         return self._build_full_view()
 
     def _build_full_view(self) -> StructuralView:
-        """O(n) full snapshot of the current generation — the lazy
-        first-pin build, the delta-capture fallback, and the chain
-        compaction fold all land here."""
+        """O(n) full snapshot of the current generation from the live
+        labeling — the lazy first-pin build and the delta-capture
+        fallback land here."""
+        return self._publish_full(lambda: StructuralView.from_labeling(self.labeling))
+
+    def _publish_full(self, build) -> StructuralView:
+        """Build a full view with *build* (a rebuild or a chain fold),
+        count and time it as a full build, and make it visible."""
         with self.tracer.span(
             "concurrent.snapshot_build", generation=self.labeling.generation
         ):
             started = time.perf_counter_ns()
-            built = StructuralView.from_labeling(self.labeling)
+            built = build()
             elapsed = time.perf_counter_ns() - started
         with self._views_lock:
             # another reader may have built it while we did; keep one
@@ -263,16 +274,17 @@ class ConcurrentDocument:
     # Writer side
     # ------------------------------------------------------------------
     def insert(self, parent: XmlNode, position: int, node: XmlNode) -> RelabelReport:
-        """Insert *node* and publish the new generation as a delta
-        view (O(delta)) when a base view exists and the chain has
-        room; otherwise fall back to the O(n) rebuild (compaction) or
-        to lazy building (no readers)."""
+        """Insert *node* and, when a base view exists, publish the new
+        generation from the captured edit: a delta view (O(delta))
+        while the chain has room, a fold of the chain into a full view
+        at the limit. Without a base view nothing is published (the
+        next pin builds lazily)."""
         with self._area_scope_for(parent) as areas:
             with self.write_locked():
                 base = self._current_view()
                 report = self.labeling.insert(parent, position, node)
                 edit = None
-                if self._delta_eligible(base):
+                if base is not None:
                     try:
                         edit = capture_insert(base, node)
                     except DeltaCaptureError:
@@ -290,7 +302,7 @@ class ConcurrentDocument:
                 base = self._current_view()
                 edit = None
                 parent = node.parent
-                if self._delta_eligible(base):
+                if base is not None:
                     try:
                         edit = capture_delete(base, node)
                     except DeltaCaptureError:
@@ -305,7 +317,7 @@ class ConcurrentDocument:
     def reenumerate(self, keep_globals: bool = True) -> bool:
         """Force a fresh enumeration (2-level rUID only). Relabeling
         rewrites labels wholesale, so no delta is published — the next
-        pin rebuilds in full."""
+        pin rebuilds from the labeling."""
         core = getattr(self.labeling, "core", None)
         reenumerate = getattr(core, "reenumerate", None)
         if reenumerate is None:
@@ -328,12 +340,6 @@ class ConcurrentDocument:
         with self._views_lock:
             return self._views.get(self.labeling.generation)
 
-    def _delta_eligible(self, base: Optional[AnyView]) -> bool:
-        return (
-            base is not None
-            and getattr(base, "chain_depth", 0) < self._delta_chain_limit
-        )
-
     def _count_fallback(self) -> None:
         with self._views_lock:
             self._delta_fallbacks += 1
@@ -345,13 +351,22 @@ class ConcurrentDocument:
         areas: Sequence[str],
     ) -> None:
         """Make the post-mutation generation visible: a chained delta
-        when one was captured, a full rebuild when the chain is due for
-        compaction or the capture fell back, nothing when no reader
+        below the chain limit; at the limit, the chain and this edit
+        folded into a full view (compaction); a rebuild from the
+        labeling when the capture fell back; nothing when no reader
         has a view to chain from."""
         new_generation = self.labeling.generation
         if base is None or new_generation == base.generation:
             return
-        if edit is not None:
+        compacting = base.chain_depth >= self._delta_chain_limit
+        if compacting:
+            with self._views_lock:
+                self._snapshot_compactions += 1
+        if edit is None:
+            self._build_full_view()
+        elif compacting:
+            self._publish_full(lambda: _fold_chain(base, edit, new_generation))
+        else:
             started = time.perf_counter_ns()
             built = DeltaView(base, new_generation, edit, areas=tuple(areas))
             elapsed = time.perf_counter_ns() - started
@@ -360,11 +375,6 @@ class ConcurrentDocument:
                 if view is built:
                     self._snapshot_builds_delta += 1
                     self._build_delta_ns.observe(elapsed)
-        else:
-            if getattr(base, "chain_depth", 0) >= self._delta_chain_limit:
-                with self._views_lock:
-                    self._snapshot_compactions += 1
-            self._build_full_view()
         if areas:
             with self._views_lock:
                 for shard_id in areas:
@@ -561,6 +571,18 @@ class ConcurrentDocument:
             f"<ConcurrentDocument {self.labeling.scheme_name} "
             f"gen={self.labeling.generation} views={len(self._views)}>"
         )
+
+
+def _fold_chain(base: AnyView, edit: TreeEdit, generation: int) -> StructuralView:
+    """The full view of *generation*: the terminal full view under
+    *base*'s delta chain, patched with every layer's edit and then
+    *edit*."""
+    edits = [edit]
+    while isinstance(base, DeltaView):
+        edits.append(base.edit)
+        base = base.base
+    edits.reverse()
+    return StructuralView.from_edits(base, edits, generation)
 
 
 class _WriterContext:

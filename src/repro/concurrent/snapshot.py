@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.core.columnar import NO_RANK
@@ -36,6 +37,7 @@ from repro.store.base import NodeRecord, NodeStore
 from repro.xmltree.node import NodeKind, XmlNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.concurrent.delta import TreeEdit
     from repro.core.scheme import Labeling
 
 
@@ -237,6 +239,157 @@ class StructuralView(NodeStore):
                 )
         return view
 
+    @classmethod
+    def from_edits(
+        cls,
+        base: "StructuralView",
+        edits: Sequence["TreeEdit"],
+        generation: int,
+    ) -> "StructuralView":
+        """Fold a delta chain: the view *base* becomes under *edits*.
+
+        *edits* run oldest first, each in the rank coordinates of the
+        generation before it (the order a
+        :class:`~repro.concurrent.delta.DeltaView` chain stacks them).
+        An edit splices ``ids_by_rank`` at its cut; every other column
+        is a copy of the base's patched from the edit's tables, and the
+        rank columns are re-derived from the new order. Only the
+        string-values of the edit points' ancestors are re-joined. The
+        base view is never mutated: pinned readers may still hold it.
+        """
+        view = cls(generation, base.scheme_name)
+        view.root = base.root
+        ids = list(base.ids_by_rank)
+        node_by_id = base.node_by_id.copy()
+        parent = base.parent.copy()
+        children = base.children.copy()
+        position = base.position.copy()
+        attr_children = base.attr_children.copy()
+        attrs = base.attrs.copy()
+        string_values = base.string_values.copy()
+        # the chain's inserts per kind list and per tag, and the tags
+        # an edit touched (every other tag list is shared as is)
+        added: Dict[str, List[int]] = {
+            "structural": [], "element": [], "text": [], "comment": []
+        }
+        added_tags: Dict[str, List[int]] = {}
+        touched_tags = set()
+        dirty = set()
+        deleted = False
+
+        def number(kids: List[int]) -> None:
+            for index, kid in enumerate(kids):
+                position[kid] = index
+
+        for edit in edits:
+            cut = edit.cut
+            if edit.shift > 0:
+                ids[cut:cut] = edit.ins_ids
+                node_by_id.update(edit.ins_nodes)
+                parent.update(edit.ins_parent)
+                children.update(edit.ins_children)
+                attrs.update(edit.ins_attrs)
+                string_values.update(edit.ins_values)
+                for nid, kids in edit.ins_children.items():
+                    number(kids)
+                    attr_kids = edit.ins_attr_children[nid]
+                    if attr_kids:
+                        attr_children[nid] = attr_kids
+                        number(attr_kids)
+                added["structural"].extend(edit.ins_structural)
+                added["element"].extend(edit.ins_element)
+                added["text"].extend(edit.ins_text)
+                added["comment"].extend(edit.ins_comment)
+                for tag, inserted in edit.ins_tag_ids.items():
+                    added_tags.setdefault(tag, []).extend(inserted)
+                    touched_tags.add(tag)
+            else:
+                del ids[cut : cut - edit.shift]
+                for nid in edit.gone:
+                    del node_by_id[nid]
+                    del parent[nid]
+                    del children[nid]
+                    del position[nid]
+                    del string_values[nid]
+                    attr_children.pop(nid, None)
+                    attrs.pop(nid, None)
+                deleted = True
+                touched_tags.update(edit.gone_tags)
+            for pid, kids in edit.children_override.items():
+                children[pid] = kids
+                number(kids)
+            for pid, kids in edit.attr_children_override.items():
+                if kids:
+                    attr_children[pid] = kids
+                    number(kids)
+                else:
+                    attr_children.pop(pid, None)
+            dirty |= edit.dirty_values
+
+        rank = dict(zip(ids, range(len(ids))))
+
+        def merged(base_list: List[int], inserted: Sequence[int]) -> List[int]:
+            # survivors keep their relative order; the chain's inserts
+            # (minus any it deleted again) sort in by their new rank
+            out = [nid for nid in base_list if nid in rank] if deleted else list(base_list)
+            if inserted:
+                out.extend(nid for nid in inserted if nid in rank)
+                out.sort(key=rank.__getitem__)
+            return out
+
+        view.structural_ids = merged(base.structural_ids, added["structural"])
+        view.element_ids = merged(base.element_ids, added["element"])
+        view.text_ids = merged(base.text_ids, added["text"])
+        view.comment_ids = merged(base.comment_ids, added["comment"])
+        tag_ids = base.tag_ids.copy()
+        for tag in touched_tags:
+            patched = merged(tag_ids.get(tag, []), added_tags.get(tag, ()))
+            if patched:
+                tag_ids[tag] = patched
+            else:
+                tag_ids.pop(tag, None)
+
+        # Rank columns from the new order: parent ranks in one pass
+        # (the root's parent, None, misses ``rank``), then each
+        # subtree's last rank in one reverse pass — a node's children
+        # all sit after it in preorder, so they are final before it.
+        parent_ranks = array(
+            "q", map(rank.get, map(parent.__getitem__, ids), repeat(NO_RANK))
+        )
+        last = list(range(len(ids)))
+        for r in range(len(ids) - 1, 0, -1):
+            p = parent_ranks[r]
+            if last[p] < last[r]:
+                last[p] = last[r]
+
+        # Re-join only the string-values an edit changed; the rest
+        # carried over with the copy.
+        textual = (NodeKind.TEXT, NodeKind.ELEMENT)
+        contribs = [
+            node.text if node.kind in textual and node.text else ""
+            for node in map(node_by_id.__getitem__, ids)
+        ]
+        for nid in dirty:
+            r = rank.get(nid)
+            if r is not None:
+                string_values[nid] = "".join(contribs[r : last[r] + 1])
+
+        view.node_by_id = node_by_id
+        view.rank = rank
+        view.end = dict(zip(ids, last))
+        view.parent = parent
+        view.children = children
+        view.position = position
+        view.attr_children = attr_children
+        view.attrs = attrs
+        view.ids_by_rank = ids
+        view.tag_ids = tag_ids
+        view.structural_ranks = array("q", map(rank.__getitem__, view.structural_ids))
+        view.parent_ranks = parent_ranks
+        view.string_values = string_values
+        view.stats.columnar_builds += 1
+        return view
+
     # ------------------------------------------------------------------
     def node(self, nid: int) -> XmlNode:
         return self.node_by_id[nid]
@@ -393,7 +546,8 @@ class SnapshotEvaluator(BaseEvaluator):
         self.tree = None  # any accidental live-tree access fails loudly
         self.stats = stats if stats is not None else QueryStats()
         self.tracer = None
-        self._doc_order = dict(view.rank)
+        # the view is frozen and doc_order() is only read: share it
+        self._doc_order = view.rank
         self.document_node = XmlNode("#document", NodeKind.DOCUMENT)
 
     # -- BaseEvaluator hooks ------------------------------------------------

@@ -7,7 +7,9 @@ positions) against a :class:`ConcurrentDocument` with a deliberately
 tiny ``delta_chain_limit``, so a single run exercises fresh deltas,
 deep chains, the compaction fold, and post-compaction chains. After
 every edit the current view (whatever its shape) is compared against
-``StructuralView.from_labeling`` of the same generation.
+``StructuralView.from_labeling`` of the same generation; a folded full
+view is compared column for column, since the fold patches the base
+view's columns from the chain's edits instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -36,6 +38,28 @@ EDITS = st.lists(
     max_size=12,
 )
 
+#: every column of a full view; a fold must reproduce each exactly
+VIEW_COLUMNS = (
+    "node_by_id",
+    "rank",
+    "end",
+    "parent",
+    "children",
+    "position",
+    "attr_children",
+    "attrs",
+    "ids_by_rank",
+    "tag_ids",
+    "element_ids",
+    "text_ids",
+    "comment_ids",
+    "structural_ids",
+    "structural_ranks",
+    "parent_ranks",
+    "string_values",
+    "root",
+)
+
 
 def _ids(nodes, evaluator):
     doc_node = evaluator.document_node
@@ -47,6 +71,9 @@ def _assert_view_equals_rebuild(doc):
     with doc.pin() as snap:
         view = snap.view
         assert view.generation == reference.generation
+        if isinstance(view, StructuralView):
+            for column in VIEW_COLUMNS:
+                assert getattr(view, column) == getattr(reference, column), column
         size = reference.size()
         assert view.size() == size
         labels = [reference.label_at(rank) for rank in range(size)]
@@ -60,6 +87,9 @@ def _assert_view_equals_rebuild(doc):
             ref_record = reference.record(label)
             assert record.kind == ref_record.kind
             assert record.tag == ref_record.tag
+            assert view.string_value(label) == reference.string_value(label)
+            assert view.attributes_of(label) == reference.attributes_of(label)
+            assert view.attribute_labels(label) == reference.attribute_labels(label)
         ref_eval = StoreEvaluator(reference, stats=QueryStats())
         snap_eval = snap.evaluator()
         for query in AXIS_QUERIES:
@@ -142,3 +172,105 @@ def test_compaction_fold_preserves_answers(extra_edits):
     for _ in range(extra_edits):
         doc.insert(parent, 0, XmlNode("entry", NodeKind.ELEMENT))
         _assert_view_equals_rebuild(doc)  # chains over the folded base
+
+
+def _draw_subtree(choices) -> XmlNode:
+    """A fresh subtree to insert: an element that may carry attributes
+    (as a dict, optionally also materialised as attribute children)
+    and a few element, text and comment children."""
+    node = XmlNode(
+        choices.draw(st.sampled_from(["item", "entry", "fresh"]), label="tag"),
+        NodeKind.ELEMENT,
+    )
+    if choices.draw(st.booleans(), label="with_attrs"):
+        names = choices.draw(
+            st.lists(st.sampled_from(["a", "b", "id"]), min_size=1, max_size=2,
+                     unique=True),
+            label="attr_names",
+        )
+        node.attributes = {name: f"v-{name}" for name in names}
+        if choices.draw(st.booleans(), label="materialise"):
+            for name in sorted(names):
+                node.append_child(
+                    XmlNode(name, NodeKind.ATTRIBUTE, text=node.attributes[name])
+                )
+    kinds = choices.draw(
+        st.lists(st.sampled_from(["leaf", "text", "comment"]), max_size=3),
+        label="kids",
+    )
+    for kind in kinds:
+        if kind == "leaf":
+            leaf = node.append_child(XmlNode("leaf", NodeKind.ELEMENT))
+            leaf.append_child(XmlNode("#text", NodeKind.TEXT, text="in leaf"))
+        elif kind == "text":
+            node.append_child(XmlNode("#text", NodeKind.TEXT, text="t"))
+        else:
+            node.append_child(XmlNode("#comment", NodeKind.COMMENT, text="c"))
+    return node
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    edits=st.lists(
+        st.sampled_from(["insert", "insert", "delete", "delete_chained"]),
+        min_size=1,
+        max_size=14,
+    ),
+    choices=st.data(),
+    chain_limit=st.integers(0, 4),
+)
+def test_fold_equals_rebuild_column_for_column(edits, choices, chain_limit):
+    """The compaction fold patches the base view's columns from the
+    chain's edits; every folded view must equal ``from_labeling`` of
+    the same generation on every column. ``chain_limit=0`` folds on
+    every publish. Inserts carry attributes, text and comments, and
+    ``delete_chained`` deletes (part of) a subtree inserted earlier in
+    the current chain, so a fold also sees inserts it must drop again."""
+    tree = generate_tree(RandomTreeConfig(node_count=60), seed=41)
+    doc = ConcurrentDocument(tree, scheme="ruid2", delta_chain_limit=chain_limit)
+    with doc.pin():
+        pass
+    chained = []  # roots inserted since the current chain's full base
+    folds = 0
+    for edit in edits:
+        if edit == "insert":
+            elements = [
+                n for n in doc.tree.preorder() if n.kind == NodeKind.ELEMENT
+            ]
+            parent = elements[
+                choices.draw(st.integers(0, len(elements) - 1), label="parent")
+            ]
+            position = choices.draw(
+                st.integers(0, len(parent.children)), label="position"
+            )
+            node = _draw_subtree(choices)
+            doc.insert(parent, position, node)
+            chained.append(node)
+        else:
+            if edit == "delete_chained":
+                live_root = doc.tree.root
+                pool = [
+                    n
+                    for root in chained
+                    if live_root in root.ancestors()
+                    for n in root.iter_subtree()
+                    if n.kind is not NodeKind.ATTRIBUTE
+                ]
+            else:
+                pool = [
+                    n
+                    for n in doc.tree.preorder()
+                    if n.parent is not None and n.kind == NodeKind.ELEMENT
+                ]
+            if not pool:
+                continue
+            doc.delete(
+                pool[choices.draw(st.integers(0, len(pool) - 1), label="victim")]
+            )
+        if doc.stats_snapshot()["delta_chain_depth"] == 0:
+            chained = []
+            folds += 1
+        _assert_view_equals_rebuild(doc)
+    stats = doc.stats_snapshot()
+    assert stats["delta_fallbacks"] == 0
+    assert stats["snapshot_compactions"] == folds

@@ -141,3 +141,41 @@ class TestRun:
         assert report.ok == 10
         assert elapsed >= span_s * 0.5
         assert elapsed < span_s + 2.0
+
+    def test_paced_latency_counts_from_due_time(self):
+        """A request whose due time passes while another request
+        blocks the event loop must report the stall as latency: the
+        client waited from its due time, not from when its task got
+        to run."""
+        import time
+
+        from repro.serving.loadgen import Arrival
+
+        stall_s = 0.1
+
+        class LoopBlockingExecutor:
+            """The first select blocks the whole loop; the rest are
+            instant."""
+
+            def __init__(self):
+                self.calls = 0
+
+            async def select(self, doc, expression, deadline=None):
+                self.calls += 1
+                if self.calls == 1:
+                    time.sleep(stall_s)  # deliberately not awaited
+                return []
+
+        arrivals = [
+            Arrival(index=i, offset_s=0.001 * (i + 1), doc="d", expression="//x")
+            for i in range(3)
+        ]
+        report = OpenLoopLoadGenerator(LoopBlockingExecutor(), pace=True).run_sync(
+            arrivals
+        )
+        assert report.ok == 3
+        stalled = report.outcomes[1:]
+        # both were due during the stall; each waited out most of it
+        for outcome in stalled:
+            assert outcome.latency_ns >= 0.5 * stall_s * 1e9, outcome
+        assert report.outcomes[0].latency_ns >= stall_s * 1e9
